@@ -8,19 +8,11 @@ Prior to the join-API redesign each joiner grew its own keyword sprawl
 of it — including the new query-surface knobs ``mode`` / ``k`` /
 ``margin`` — into one validated, frozen dataclass that every
 constructor accepts as its first argument.
-
-The old keyword arguments keep working through a deprecation shim
-(:func:`fold_legacy_kwargs`): passing them folds the values into a
-``JoinConfig`` and emits a :class:`JoinAPIDeprecationWarning` once per
-call site.  Under pytest the warning is promoted to an error (see
-``filterwarnings`` in ``pyproject.toml``) so internal code cannot rot
-back onto the legacy surface.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Join modes understood by the engines and the serve schema.
 JOIN_MODES = ("argmin", "topk", "reverse")
@@ -30,22 +22,14 @@ JOIN_MODES = ("argmin", "topk", "reverse")
 #: validation never imports the kernel implementations — the index
 #: package imports this module, and the reverse would cycle.
 #:
-#: * ``"auto"`` — pick per call: bit-parallel for queries that fit one
-#:   64-bit word, banded when the diagonal band is narrower than the
-#:   candidates are long, bit-parallel multi-block otherwise.
+#: * ``"auto"`` — the backend measured fastest per entry point: the
+#:   reference pair DP for ``edit_distance_pairs``; banded at narrow
+#:   caps, bit-parallel above them, for ``edit_distance_codes``.
 #: * ``"reference"`` — the pure-numpy DP sweeps in
 #:   :mod:`repro.index.kernel`, always available, defines the contract.
 #: * ``"bitparallel"`` — Myers' bit-parallel DP in uint64 bit-vectors.
 #: * ``"banded"`` — Ukkonen's banded DP over the ``2*cap + 1`` diagonal.
 KERNEL_BACKENDS = ("auto", "reference", "bitparallel", "banded")
-
-
-class JoinAPIDeprecationWarning(DeprecationWarning):
-    """Raised-once warning for legacy joiner keyword arguments.
-
-    A dedicated subclass so pytest can promote exactly this category to
-    an error without touching third-party ``DeprecationWarning`` noise.
-    """
 
 
 @dataclass(frozen=True)
@@ -127,50 +111,3 @@ class JoinConfig:
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "
                 f"got {self.kernel_backend!r}"
             )
-
-
-_WARNED_CALLERS: set[str] = set()
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which call sites already warned (test isolation hook)."""
-    _WARNED_CALLERS.clear()
-
-
-def fold_legacy_kwargs(
-    caller: str,
-    config: JoinConfig | None,
-    **legacy: object,
-) -> JoinConfig:
-    """Resolve ``(config, legacy kwargs)`` into one :class:`JoinConfig`.
-
-    ``legacy`` holds the caller's deprecated keyword arguments with
-    ``None`` meaning "not passed".  Passing any of them emits a
-    :class:`JoinAPIDeprecationWarning` once per ``caller`` and folds the
-    values into a fresh config (validated by ``__post_init__``).
-    Mixing an explicit ``config`` with legacy kwargs is an error — the
-    precedence would be ambiguous.
-    """
-    if config is not None and not isinstance(config, JoinConfig):
-        raise TypeError(
-            f"{caller}: config must be a JoinConfig, got "
-            f"{type(config).__name__} (legacy positional arguments are "
-            "not supported; pass keyword arguments or a JoinConfig)"
-        )
-    used = {name: value for name, value in legacy.items() if value is not None}
-    if not used:
-        return config if config is not None else JoinConfig()
-    if config is not None:
-        raise TypeError(
-            f"{caller}: pass either a JoinConfig or legacy keyword "
-            f"arguments ({', '.join(sorted(used))}), not both"
-        )
-    if caller not in _WARNED_CALLERS:
-        _WARNED_CALLERS.add(caller)
-        warnings.warn(
-            f"{caller}: keyword argument(s) {', '.join(sorted(used))} are "
-            "deprecated; pass JoinConfig(...) as the first argument instead",
-            JoinAPIDeprecationWarning,
-            stacklevel=3,
-        )
-    return replace(JoinConfig(), **used)  # type: ignore[arg-type]

@@ -33,8 +33,9 @@ from bisect import insort
 from collections.abc import Sequence
 from dataclasses import replace
 
-from repro.core.join_config import JoinConfig, fold_legacy_kwargs
+from repro.core.join_config import JoinConfig
 from repro.exceptions import JoinError
+from repro.obs.trace import get_tracer
 from repro.text.edit_distance import edit_distance_capped
 from repro.types import JoinCandidate, JoinResult, Prediction, TopKJoinResult
 
@@ -68,13 +69,6 @@ class EditDistanceJoiner:
         config: All tunables in one frozen :class:`JoinConfig`; only
             ``max_distance`` / ``normalized_threshold`` / ``mode`` /
             ``k`` / ``margin`` apply to the brute scan.
-        max_distance: Deprecated — use ``JoinConfig(max_distance=...)``.
-            When set, matches farther than this are rejected (the row
-            stays unmatched, reducing recall but protecting precision).
-        normalized_threshold: Deprecated — use
-            ``JoinConfig(normalized_threshold=...)``.  When set, reject
-            matches whose distance divided by the matched value's
-            length exceeds this value.
 
     The config is a constructor-time carrier: thresholds and the
     ``mode``/``k``/``margin`` defaults land on plain mutable attributes
@@ -88,19 +82,8 @@ class EditDistanceJoiner:
     this single dispatch point.
     """
 
-    def __init__(
-        self,
-        config: JoinConfig | None = None,
-        *,
-        max_distance: int | None = None,
-        normalized_threshold: float | None = None,
-    ) -> None:
-        config = fold_legacy_kwargs(
-            "EditDistanceJoiner",
-            config,
-            max_distance=max_distance,
-            normalized_threshold=normalized_threshold,
-        )
+    def __init__(self, config: JoinConfig | None = None) -> None:
+        config = config if config is not None else JoinConfig()
         # Imported lazily: the kernels registry lives in the index
         # package, which imports this module — a top-level import
         # would cycle.
@@ -174,7 +157,9 @@ class EditDistanceJoiner:
         — matches, distances, earliest-row tie-breaks, and threshold
         abstentions — for every probe column.
         """
-        return [self.match(probe, targets) for probe in probes]
+        attributes = {"probes": len(probes), "targets": len(targets)}
+        with get_tracer().span("join.brute", attributes=attributes):
+            return [self.match(probe, targets) for probe in probes]
 
     # ------------------------------------------------------------------
     # Top-k query surface

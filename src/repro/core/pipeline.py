@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.aggregator import Aggregator, MultiModelAggregator
 from repro.core.interface import SequenceModel
-from repro.core.join_config import JoinConfig, fold_legacy_kwargs
+from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.core.serializer import Decomposer, PromptSerializer, SubTask
 from repro.types import ExamplePair, JoinResult, Prediction
@@ -69,8 +69,6 @@ class DTTPipeline:
             strategy name (a joiner instance carries its own settings).
             Covers thresholds, q-gram width, worker count, and the
             top-k / margin defaults in one frozen object.
-        n_workers: Deprecated — pass
-            ``join_config=JoinConfig(n_workers=...)`` instead.
         engine: Generation engine scheduling the prediction stage; all
             prompts of all trials are handed to it in one call, where
             incremental models (the trained byte-level transformer) get
@@ -89,7 +87,6 @@ class DTTPipeline:
         joiner: EditDistanceJoiner | str | None = None,
         engine: GenerationEngine | None = None,
         join_config: JoinConfig | None = None,
-        n_workers: int | None = None,
     ) -> None:
         models = [model] if isinstance(model, SequenceModel) else list(model)
         if not models:
@@ -101,15 +98,12 @@ class DTTPipeline:
         self.serializer = PromptSerializer()
         self.aggregator = Aggregator()
         if joiner is None or isinstance(joiner, str):
-            config = fold_legacy_kwargs(
-                "DTTPipeline", join_config, n_workers=n_workers
-            )
             # Imported lazily: repro.index subclasses the core joiner,
             # so a module-level import here would be circular.
             from repro.index import make_joiner
 
             self.joiner = make_joiner(
-                "auto" if joiner is None else joiner, config=config
+                "auto" if joiner is None else joiner, config=join_config
             )
         else:
             self.joiner = joiner

@@ -38,8 +38,6 @@ class DTTJoinerAdapter:
             ``"indexed"`` / ``"auto"``), forwarded to the pipeline.
         join_config: :class:`~repro.core.join_config.JoinConfig`
             forwarded to the pipeline's joiner construction.
-        n_workers: Deprecated — pass
-            ``join_config=JoinConfig(n_workers=...)`` instead.
     """
 
     def __init__(
@@ -51,7 +49,6 @@ class DTTJoinerAdapter:
         name: str | None = None,
         joiner: EditDistanceJoiner | str | None = None,
         join_config: JoinConfig | None = None,
-        n_workers: int | None = None,
     ) -> None:
         self.pipeline = DTTPipeline(
             model,
@@ -60,7 +57,6 @@ class DTTJoinerAdapter:
             seed=seed,
             joiner=joiner,
             join_config=join_config,
-            n_workers=n_workers,
         )
         self._name = name or self.pipeline.name
 

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.join_config import JoinConfig, fold_legacy_kwargs
+from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.exceptions import JoinError
 from repro.index.cache import IndexCache, default_index_cache
@@ -85,8 +85,6 @@ class IndexedJoiner(EditDistanceJoiner):
             shared cache (:func:`~repro.index.cache.default_index_cache`).
             An object dependency, so it stays a direct argument rather
             than a config field.
-        max_distance, normalized_threshold, q, n_workers,
-            parallel_threshold: Deprecated — pass ``JoinConfig(...)``.
 
     Attributes:
         last_join_stats: :class:`~repro.index.parallel.JoinStats` for
@@ -102,8 +100,8 @@ class IndexedJoiner(EditDistanceJoiner):
     _MAX_AUTO_WORKERS = 8
 
     # Cells (distance-row entries) per pair-DP chunk: sized so the
-    # sweep's working set stays cache-resident (int32 rows, a few
-    # buffers) — measurably faster than streaming one huge block.
+    # sweep's working set stays cache-resident (int16 or int32 rows, a
+    # few buffers) — measurably faster than streaming one huge block.
     _PAIR_CELL_BUDGET = 1 << 16
     # Pairs per assembly group: bounds the concatenated vids/distances
     # arrays of a (bucket, cap) round regardless of how many candidate
@@ -119,22 +117,9 @@ class IndexedJoiner(EditDistanceJoiner):
         config: JoinConfig | None = None,
         *,
         cache: IndexCache | None = None,
-        max_distance: int | None = None,
-        normalized_threshold: float | None = None,
-        q: int | None = None,
-        n_workers: int | None = None,
-        parallel_threshold: int | None = None,
     ) -> None:
-        config = fold_legacy_kwargs(
-            "IndexedJoiner",
-            config,
-            max_distance=max_distance,
-            normalized_threshold=normalized_threshold,
-            q=q,
-            n_workers=n_workers,
-            parallel_threshold=parallel_threshold,
-        )
         super().__init__(config)
+        config = self.config
         self.q = config.q
         self.cache = cache if cache is not None else default_index_cache()
         self.n_workers = config.n_workers
@@ -973,9 +958,6 @@ class AutoJoiner(EditDistanceJoiner):
             engine takes over.
         cache: Index cache for the blocked delegate (``None`` = the
             process-wide shared cache).
-        threshold, max_distance, normalized_threshold, q, n_workers,
-            parallel_threshold: Deprecated — pass ``JoinConfig(...)``
-            (``threshold`` folds into ``auto_threshold``).
     """
 
     DEFAULT_THRESHOLD = 256
@@ -985,24 +967,9 @@ class AutoJoiner(EditDistanceJoiner):
         config: JoinConfig | None = None,
         *,
         cache: IndexCache | None = None,
-        threshold: int | None = None,
-        max_distance: int | None = None,
-        normalized_threshold: float | None = None,
-        q: int | None = None,
-        n_workers: int | None = None,
-        parallel_threshold: int | None = None,
     ) -> None:
-        config = fold_legacy_kwargs(
-            "AutoJoiner",
-            config,
-            auto_threshold=threshold,
-            max_distance=max_distance,
-            normalized_threshold=normalized_threshold,
-            q=q,
-            n_workers=n_workers,
-            parallel_threshold=parallel_threshold,
-        )
         super().__init__(config)
+        config = self.config
         self.threshold = config.auto_threshold
         self.last_join_stats: JoinStats | None = None
         self._brute = EditDistanceJoiner(config)
@@ -1064,12 +1031,6 @@ def make_joiner(
     config: JoinConfig | None = None,
     *,
     cache: IndexCache | None = None,
-    max_distance: int | None = None,
-    normalized_threshold: float | None = None,
-    q: int | None = None,
-    auto_threshold: int | None = None,
-    n_workers: int | None = None,
-    parallel_threshold: int | None = None,
 ) -> EditDistanceJoiner:
     """Build a join strategy by name.
 
@@ -1082,20 +1043,7 @@ def make_joiner(
             ``mode``/``k``/``margin`` query defaults).
         cache: Index cache for the blocked strategies (``None`` = the
             process-wide shared cache).
-        max_distance, normalized_threshold, q, auto_threshold,
-            n_workers, parallel_threshold: Deprecated — pass
-            ``JoinConfig(...)``.
     """
-    config = fold_legacy_kwargs(
-        "make_joiner",
-        config,
-        max_distance=max_distance,
-        normalized_threshold=normalized_threshold,
-        q=q,
-        auto_threshold=auto_threshold,
-        n_workers=n_workers,
-        parallel_threshold=parallel_threshold,
-    )
     if strategy == "brute":
         return EditDistanceJoiner(config)
     if strategy == "indexed":

@@ -190,11 +190,10 @@ def edit_distance_pairs(
     out = np.full(n, big, dtype=np.int64)
     # Maps compacted column positions back to caller pair indices.
     active = np.arange(n)
-    # The sweep runs the *exact* (unclamped) DP in int32 — distances
-    # are bounded by the longest string, so the narrow dtype halves
-    # memory traffic — in **reduced space** ``E[i][j] = D[i][j] - j``,
-    # where the row-serial insertion recurrence collapses to a plain
-    # prefix-min (``D[i][j] = min(D'[i][j], D[i][j-1] + 1)`` becomes
+    # The sweep runs the *exact* (unclamped) DP in **reduced space**
+    # ``E[i][j] = D[i][j] - j``, where the row-serial insertion
+    # recurrence collapses to a plain prefix-min
+    # (``D[i][j] = min(D'[i][j], D[i][j-1] + 1)`` becomes
     # ``E[i][j] = min(E'[i][j], E[i][j-1])``) and the initial row is
     # all zeros.  State is stored **transposed** — ``(width, n)`` with
     # pairs along the contiguous axis — so the prefix-min accumulate
@@ -204,11 +203,19 @@ def edit_distance_pairs(
     # Distances clamp to ``big`` only on output.
     cand_codes = np.ascontiguousarray(cand_codes.T)
     width = cand_codes.shape[0] + 1
-    col = np.arange(width, dtype=np.int32)[:, None]
-    previous = np.zeros((width, n), dtype=np.int32)
+    # ``E[i][j]`` lies in ``[-j, i]`` and the settlement sum ``E + j``
+    # is at most ``query_len + width``, so int16 holds every value the
+    # sweep forms whenever that bound fits — halving memory traffic
+    # again over int32, the fallback for longer strings.
+    if width + query_len < np.iinfo(np.int16).max:
+        dtype = np.int16
+    else:
+        dtype = np.int32
+    col = np.arange(width, dtype=dtype)[:, None]
+    previous = np.zeros((width, n), dtype=dtype)
     current = np.empty_like(previous)
-    unequal = np.empty(cand_codes.shape, dtype=np.int32)
-    scratch = np.empty(cand_codes.shape, dtype=np.int32)
+    unequal = np.empty(cand_codes.shape, dtype=dtype)
+    scratch = np.empty(cand_codes.shape, dtype=dtype)
     for i in range(1, query_len + 1):
         current[0, :] = i
         # Each pair substitutes against its own query character:
@@ -253,8 +260,8 @@ def edit_distance_pairs(
                 previous = previous[: longest + 1, :]
                 col = col[: longest + 1]
             current = np.empty_like(previous)
-            unequal = np.empty(cand_codes.shape, dtype=np.int32)
-            scratch = np.empty(cand_codes.shape, dtype=np.int32)
+            unequal = np.empty(cand_codes.shape, dtype=dtype)
+            scratch = np.empty(cand_codes.shape, dtype=dtype)
     final = previous[cand_lengths, np.arange(active.size)] + cand_lengths
     out[active] = np.minimum(final, big)
     return out

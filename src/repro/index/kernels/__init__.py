@@ -7,24 +7,43 @@ matrix), ``edit_distance_pairs`` (lockstep per-pair scoring) and
 the pure-numpy DP in :mod:`repro.index.kernel`.  This package turns
 that call surface into a registry of interchangeable backends:
 
-* ``"reference"`` — the numpy DP sweeps, unchanged, always available;
-  they define the capped contract every other backend must match
+* ``"reference"`` — the numpy DP sweeps, always available; they
+  define the capped contract every other backend must match
   byte-for-byte (values ``<= cap`` exact, everything else ``cap + 1``).
+  The pair DP sweeps in int16 whenever ``width + query_len`` fits
+  (int32 otherwise), so it moves half the bytes on title-length
+  strings.
 * ``"bitparallel"`` — Myers' bit-parallel DP over uint64 bit-vectors
-  (:mod:`repro.index.kernels.bitparallel`); the fast path for the
-  short-string regime (queries up to 64 characters in one word,
-  multi-block chaining beyond).
+  (:mod:`repro.index.kernels.bitparallel`); one word per 64 query
+  characters, so its cost grows with the cap more slowly than the
+  band's.
 * ``"banded"`` — Ukkonen's diagonal-band DP
-  (:mod:`repro.index.kernels.banded`); wins when strings are long but
-  the cap keeps the band narrow.
-* ``"auto"`` — per-call dispatch between the above.
+  (:mod:`repro.index.kernels.banded`); its ``2*cap + 1`` band makes it
+  cheapest at small caps.
+* ``"auto"`` — the backend measured fastest per entry point, from the
+  rows of ``BENCH_kernels.json`` (``benchmarks/bench_kernels.py``; 2-core
+  host, CPython 3.11, numpy 2.4):
+
+  - ``edit_distance_pairs`` → ``reference``.  Replaying the 423 pair
+    calls of a wide join (5,000-row title column, ~650 pairs per call
+    at the median, caps 2-67): reference 2.31 s, banded 3.73 s,
+    bitparallel 4.12 s; the same join end to end 2.19 / 3.39 / 3.58 s.
+  - ``edit_distance_codes`` / ``edit_distance_many`` → ``banded`` up
+    to cap 6, ``bitparallel`` above.  On 60 abbreviation probes
+    against 4,000 titles, banded/bitparallel took 0.015/0.045 s at cap
+    1, 0.092/0.094 s at cap 6, 0.183/0.135 s at cap 8 and 2.82/0.67 s
+    at cap 40.  On concatenated titles past one word the band still
+    wins at cap 8 (0.093/0.130 s) and loses from cap 16; one cut-off
+    serves both.
 
 Selection: an explicit ``JoinConfig(kernel_backend=...)`` wins; a
 config left at ``"auto"`` defers to the ``REPRO_KERNEL_BACKEND``
 environment variable (so CI can sweep the whole test suite across
-backends without touching call sites); otherwise the auto heuristic
-picks per call.  Backend names are validated against
-:data:`repro.core.join_config.KERNEL_BACKENDS`.
+backends without touching call sites); otherwise ``auto`` dispatches
+as above.  Backend names are validated against
+:data:`repro.core.join_config.KERNEL_BACKENDS`.  ``BENCH_FLOORS`` keeps
+``auto`` within 10% of the best fixed backend on the pairs and join
+rows, so a dispatch regression fails CI.
 
 Every concrete backend counts the candidate pairs it scores into a
 process-wide tally (:func:`pairs_scored_snapshot`), which
@@ -47,8 +66,8 @@ from repro.index.kernel import encode_strings
 from repro.index.kernels import banded as _banded
 from repro.index.kernels import bitparallel as _bitparallel
 
-#: Query length (code points) that fits a single bit-parallel word.
-_BLOCK = 64
+#: Largest cap at which ``auto`` scores codes with the banded DP.
+_BANDED_MAX_CAP = 6
 
 _COUNTS_LOCK = threading.Lock()
 _PAIRS_SCORED: dict[str, int] = {
@@ -170,33 +189,30 @@ class BandedBackend(_DelegatingBackend):
 
 
 class AutoBackend(KernelBackend):
-    """Per-call dispatch between the concrete backends.
+    """Per-entry-point dispatch to the backend measured fastest there.
 
-    The heuristic keys on the two quantities that decide each backend's
-    cost: the query length ``m`` (bit-parallel does one word of work
-    per 64 query characters) and the band width ``2*cap + 1`` (banded
-    work per DP row).  Queries that fit one word always take the
-    bit-parallel kernel; longer queries take the banded kernel while
-    the band is narrower than a word, else multi-block bit-parallel.
+    * ``edit_distance_pairs`` (argmin and top-k joins) always runs the
+      reference pair DP, which won every cap of the wide-join pair
+      batches in ``BENCH_kernels.json``.
+    * ``edit_distance_codes`` / ``edit_distance_many`` (composite keys,
+      ``match_many``) run the banded DP while the cap is at most
+      :data:`_BANDED_MAX_CAP` and bit-parallel above it.
+
     Pairs scored are credited to whichever concrete backend ran.
     """
 
     name = "auto"
 
     @staticmethod
-    def _pick(m: int, cap: int) -> KernelBackend:
-        if m == 0:
-            return _BACKENDS["reference"]
-        if m <= _BLOCK:
-            return _BACKENDS["bitparallel"]
-        if 2 * cap + 1 <= _BLOCK:
+    def _pick_codes(cap: int) -> KernelBackend:
+        if cap <= _BANDED_MAX_CAP:
             return _BACKENDS["banded"]
         return _BACKENDS["bitparallel"]
 
     def edit_distance_codes(
         self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
     ) -> np.ndarray:
-        return self._pick(len(query), cap).edit_distance_codes(
+        return self._pick_codes(cap).edit_distance_codes(
             query, codes, lengths, cap
         )
 
@@ -207,14 +223,14 @@ class AutoBackend(KernelBackend):
         cand_lengths: np.ndarray,
         cap: int,
     ) -> np.ndarray:
-        return self._pick(query_codes.shape[1], cap).edit_distance_pairs(
+        return _BACKENDS["reference"].edit_distance_pairs(
             query_codes, cand_codes, cand_lengths, cap
         )
 
     def edit_distance_many(
         self, query: str, candidates: Sequence[str], cap: int
     ) -> np.ndarray:
-        return self._pick(len(query), cap).edit_distance_many(
+        return self._pick_codes(cap).edit_distance_many(
             query, candidates, cap
         )
 

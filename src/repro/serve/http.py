@@ -68,7 +68,9 @@ balloon memory nor pin a handler thread forever.
 from __future__ import annotations
 
 import json
+import signal
 import sys
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -290,6 +292,30 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """
         self.timeout = self.server.request_timeout_s
         super().setup()
+
+    def parse_request(self) -> bool:
+        """Parse the request head and count the request as in flight.
+
+        Counting starts here, not at connection accept, so an idle
+        keep-alive connection never holds up a drain.  Once the server
+        is draining, the connection closes after this response.
+        """
+        if not super().parse_request():
+            return False
+        self._counted = True
+        self.server.request_started()
+        if self.server.draining:
+            self.close_connection = True
+        return True
+
+    def handle_one_request(self) -> None:
+        """One request off the connection; ends its in-flight count."""
+        self._counted = False
+        try:
+            super().handle_one_request()
+        finally:
+            if self._counted:
+                self.server.request_finished()
 
     def log_message(self, format: str, *args: object) -> None:
         """Log the request line only when the server is verbose."""
@@ -662,6 +688,33 @@ class TransformServiceServer(ThreadingHTTPServer):
         self.request_timeout_s = request_timeout_s
         self.log_json = log_json
         self.log_stream = log_stream if log_stream is not None else sys.stderr
+        #: Set once :meth:`drain` starts; later responses close their
+        #: connection.
+        self.draining = False
+        self._in_flight = 0
+        self._idle = threading.Condition()
+
+    def request_started(self) -> None:
+        """Count one parsed request as in flight."""
+        with self._idle:
+            self._in_flight += 1
+
+    def request_finished(self) -> None:
+        """Count one in-flight request as answered."""
+        with self._idle:
+            self._in_flight -= 1
+            if not self._in_flight:
+                self._idle.notify_all()
+
+    def drain(self, timeout: float | None = None) -> bool:
+        """Wait until no request is in flight; ``False`` on timeout.
+
+        Call after :meth:`shutdown` so no new connection is accepted;
+        requests on already-open connections still count.
+        """
+        self.draining = True
+        with self._idle:
+            return self._idle.wait_for(lambda: not self._in_flight, timeout)
 
 
 def start_http_server(
@@ -701,7 +754,12 @@ def serve_http(
     log_json: bool = False,
     log_stream=None,
 ) -> None:
-    """Serve in the foreground until interrupted, then shut down cleanly."""
+    """Serve in the foreground until Ctrl-C or SIGTERM, then drain.
+
+    Either signal stops accepting connections, waits up to
+    ``request_timeout_s`` for in-flight requests to be answered, then
+    closes the socket and the service (which finishes queued work).
+    """
     server = start_http_server(
         service,
         host,
@@ -714,11 +772,22 @@ def serve_http(
     )
     bound_host, bound_port = server.server_address[:2]
     print(f"serving on http://{bound_host}:{bound_port} (Ctrl-C to stop)")
+
+    def terminate(signum: int, frame: object) -> None:
+        # shutdown() waits for serve_forever, which runs on this thread.
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    # Signal handlers can only be installed from the main thread.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, terminate) if on_main else None
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
+        server.drain(request_timeout_s)
         server.server_close()
         service.close()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)

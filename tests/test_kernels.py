@@ -6,10 +6,11 @@ reference numpy DP — and, transitively, to the scalar
 :func:`repro.text.edit_distance.edit_distance` oracle.  These tests
 enforce that claim with randomized cross-backend fuzz (caps 0-8, empty
 strings, multi-block queries past 64 characters, pad-boundary lengths
-63/64/65), end-to-end joiner equivalence on every registered dataset
-at 1/2/4 workers, registry/env resolution semantics, and the
-per-backend pairs-scored accounting surfaced through ``JoinStats`` and
-the serving layer.
+63/64/65), closed-form cases straddling the pair DP's int16/int32
+switch, end-to-end joiner equivalence on every registered dataset at
+1/2/4 workers, registry/env resolution semantics, ``auto``'s dispatch,
+and the per-backend pairs-scored accounting surfaced through
+``JoinStats`` and the serving layer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.join_config import KERNEL_BACKENDS, JoinConfig
 from repro.core.joiner import EditDistanceJoiner
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.index import IndexCache, IndexedJoiner
-from repro.index.kernel import encode_strings
+from repro.index.kernel import edit_distance_pairs, encode_strings
 from repro.index.kernels import (
     get_backend,
     pairs_scored_snapshot,
@@ -185,6 +186,29 @@ class TestScalarOracleFuzz:
             assert got.tolist() == _oracle(query, candidates, cap), cap
 
 
+class TestPairDtypeBoundary:
+    """The pair DP sweeps in int16 below ``width + query_len`` 32767.
+
+    Query ``"a" * 200`` against ``"a" * 200 + "b" * L`` is exactly ``L``
+    edits, and the candidate sets ``width + query_len = 401 + L``, so
+    the two cases straddle the int16/int32 switch without a scalar
+    oracle.
+    """
+
+    @pytest.mark.parametrize("total", (32766, 32767))
+    def test_straddle_is_exact(self, total):
+        query = "a" * 200
+        n_b = total - 401
+        candidate = query + "b" * n_b
+        query_codes, _ = encode_strings([query, query])
+        cand_codes, cand_lengths = encode_strings([candidate, query])
+        assert cand_codes.shape[1] + 1 + query_codes.shape[1] == total
+        for cap, want in ((n_b, [n_b, 0]), (n_b - 1, [n_b, 0]), (3, [4, 0])):
+            got = edit_distance_pairs(query_codes, cand_codes, cand_lengths, cap)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, (total, cap)
+
+
 class TestJoinerEquivalence:
     """Forcing each backend must leave every join surface byte-identical."""
 
@@ -276,6 +300,32 @@ class TestPairsAccounting:
         scored = dict(stats.kernel_pairs)
         assert scored.get("bitparallel", 0) > 0
         assert stats.as_dict()["kernel_pairs"] == scored
+
+    @staticmethod
+    def _credited(run) -> dict[str, int]:
+        before = pairs_scored_snapshot()
+        run()
+        after = pairs_scored_snapshot()
+        return {name: after[name] - before[name] for name in _CONCRETE}
+
+    def test_auto_pairs_run_the_reference_dp(self):
+        query_codes, _ = encode_strings(["abcdef"] * 5)
+        cand_codes, cand_lengths = encode_strings(["abcdxf"] * 5)
+        for cap in (1, 2, 40):
+            credited = self._credited(
+                lambda cap=cap: get_backend("auto").edit_distance_pairs(
+                    query_codes, cand_codes, cand_lengths, cap
+                )
+            )
+            assert credited == {"reference": 5, "bitparallel": 0, "banded": 0}
+
+    def test_auto_codes_take_the_band_at_narrow_caps(self):
+        auto = get_backend("auto")
+        for cap, backend in ((1, "banded"), (6, "banded"), (7, "bitparallel")):
+            credited = self._credited(
+                lambda cap=cap: auto.edit_distance_many("abcdef", ["abcdxf"] * 3, cap)
+            )
+            assert credited[backend] == 3 and sum(credited.values()) == 3, cap
 
     def test_snapshot_is_cumulative_and_resettable(self):
         before = pairs_scored_snapshot()

@@ -397,9 +397,40 @@ class TestBenchFloors:
 
 class TestCheckFloors:
     def test_all_floors_held(self):
-        result = check_floors("kernels", {"headline": 4.2}, cores=8)
+        metrics = {
+            "headline": 4.2,
+            "auto_vs_best[pairs]": 1.0,
+            "auto_vs_best[join]": 0.95,
+        }
+        result = check_floors("kernels", metrics, cores=8)
         assert result["passed"] is True
         assert result["checked"] and not result["skipped"]
+
+    def test_slow_kernel_dispatch_fails(self):
+        # auto 15% slower than the best fixed backend on the join rows.
+        metrics = {
+            "headline": 4.2,
+            "auto_vs_best[pairs]": 1.0,
+            "auto_vs_best[join]": 0.87,
+        }
+        result = check_floors("kernels", metrics)
+        assert result["passed"] is False
+        assert "auto_vs_best[join] 0.87 < floor 0.909" in result["detail"]
+
+    def test_kernels_key_metrics_read_the_wide_rows(self):
+        report = {
+            "rows": [
+                {"regime": "short", "backend": "bitparallel", "cap": 1,
+                 "config": "short/cap1/bitparallel", "speedup": 3.6},
+                {"regime": "short", "backend": "bitparallel", "cap": 2,
+                 "config": "short/cap2/bitparallel", "speedup": 9.7},
+            ],
+            "wide": {"auto_vs_best": {"pairs": 0.97, "join": 1.01}},
+        }
+        metrics = key_metrics("kernels", report)
+        assert metrics["headline"] == 9.7
+        assert metrics["auto_vs_best[pairs]"] == 0.97
+        assert metrics["auto_vs_best[join]"] == 1.01
 
     def test_below_floor_fails_with_detail(self):
         result = check_floors("kernels", {"headline": 1.0})

@@ -12,8 +12,13 @@ work), the TTL + LRU result cache, and the stdlib JSON front end.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -527,6 +532,51 @@ class TestMainEntryPoint:
             assert len(service.pipeline.models) == 1
         finally:
             service.close()
+
+
+class TestTermination:
+    def test_sigterm_drains_the_in_flight_request(self):
+        """SIGTERM mid-request: the request gets its 200, the process exits 0."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        # A 1.5 s batching window keeps the request in flight while the
+        # signal lands.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0",
+             "--n-trials", "1", "--max-wait-ms", "1500", "--quiet"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on http://"), (
+                line + proc.stderr.read()
+            )
+            port = int(line.split()[2].rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            examples = [[e.source, e.target] for e in _EXAMPLES]
+            body = json.dumps({"sources": ["Kim Campbell"], "examples": examples})
+            conn.request(
+                "POST",
+                "/v1/transform",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            time.sleep(0.3)  # let the handler parse it; the window is 1.5 s
+            proc.send_signal(signal.SIGTERM)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200, payload
+            assert payload["predictions"][0]["source"] == "Kim Campbell"
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestHttpFrontEnd:

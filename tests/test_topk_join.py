@@ -16,12 +16,7 @@ import random
 import pytest
 from repro.utils.fuzz import random_edits, random_unicode_string
 
-from repro.core.join_config import (
-    JoinAPIDeprecationWarning,
-    JoinConfig,
-    fold_legacy_kwargs,
-    reset_deprecation_warnings,
-)
+from repro.core.join_config import JoinConfig
 from repro.core.joiner import EditDistanceJoiner, invert_matches
 from repro.datagen.benchmarks.registry import dataset_names, get_dataset
 from repro.exceptions import JoinError
@@ -371,41 +366,3 @@ class TestJoinConfig:
         assert joiner.k == 4
         assert joiner.margin == 0.2
         assert joiner.max_distance == 3
-
-
-class TestDeprecationShim:
-    def setup_method(self):
-        reset_deprecation_warnings()
-
-    def teardown_method(self):
-        reset_deprecation_warnings()
-
-    def test_legacy_kwargs_warn_once_per_caller(self):
-        with pytest.warns(JoinAPIDeprecationWarning, match="max_distance"):
-            joiner = EditDistanceJoiner(max_distance=2)
-        assert joiner.max_distance == 2
-        # Second use from the same call site is silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            EditDistanceJoiner(max_distance=3)
-
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError):
-            fold_legacy_kwargs("caller", JoinConfig(), max_distance=1)
-
-    def test_reset_reenables_warning(self):
-        with pytest.warns(JoinAPIDeprecationWarning):
-            fold_legacy_kwargs("reset-case", None, q=3)
-        reset_deprecation_warnings()
-        with pytest.warns(JoinAPIDeprecationWarning):
-            fold_legacy_kwargs("reset-case", None, q=3)
-
-    def test_none_means_not_passed(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = fold_legacy_kwargs("silent-case", None, max_distance=None)
-        assert config == JoinConfig()

@@ -180,6 +180,36 @@ class TestSpans:
         assert child.parent_id == root.span_id
 
 
+class TestBruteJoinSpan:
+    def test_small_column_join_records_a_brute_span(self):
+        from repro.index import make_joiner
+
+        tracer = configure_tracing(sample_rate=1.0, capacity=16, slowest=4)
+        targets = ["jtrudeau", "sharper", "pmartin"]
+        probes = ["jtrudeax", "sharper", "pmartim", ""]
+        # "auto" routes a column under 256 rows to the brute scan.
+        joiner = make_joiner("auto")
+        root = tracer.start_trace("request")
+        with tracer.activate(root):
+            results = joiner.join_many(probes, targets)
+        root.finish()
+        assert [matched for matched, _ in results] == [
+            "jtrudeau", "sharper", "pmartin", None
+        ]
+        spans = tracer.collector.snapshot()["recent"][0]["spans"]
+        brute = [span for span in spans if span["name"] == "join.brute"]
+        assert len(brute) == 1
+        assert brute[0]["parent_id"] == root.span_id
+        assert brute[0]["attributes"] == {"probes": 4, "targets": 3}
+
+    def test_untraced_brute_join_records_nothing(self):
+        from repro.core.joiner import EditDistanceJoiner
+
+        tracer = configure_tracing(sample_rate=1.0, capacity=16, slowest=4)
+        EditDistanceJoiner().join_many(["ab"], ["ab", "cd"])
+        assert tracer.collector.snapshot()["collected"] == 0
+
+
 class TestContextPropagation:
     def test_activate_installs_and_restores(self):
         tracer = _tracer(1.0)
