@@ -7,8 +7,8 @@ point, the backend measured fastest there.  Three sections:
 * **pairs** — ``edit_distance_pairs``, the only entry point the argmin
   and top-k joins call.  The calls are recorded from a real wide join
   (DTT predictions for 3 sources of each JAB table, joined table by
-  table into one standing 5,000-row title column: ~650 pairs per call
-  at the median, up to ~2,600; queries of ~30 characters; caps 2-40
+  table into one standing 5,000-row title column: ~70 pairs per call
+  at the median, up to ~2,200; queries of ~30 characters; caps 2-40
   plus the near-vacuous upper-bound batches) and replayed on every
   backend, ``auto`` included.
 * **join** — the same per-table ``IndexedJoiner.join_many`` argmin

@@ -5,9 +5,11 @@ The brute joiner scans every target with a scalar DP — O(|sources| x
 package keeps the paper's exact semantics while scaling the target
 column:
 
-* :mod:`repro.index.qgram` — an inverted q-gram index whose length and
-  count filters (Gravano-style bounds) yield a **provably complete**
-  candidate set for any distance cap.
+* :mod:`repro.index.qgram` — an inverted q-gram index whose length,
+  count (Gravano-style) and bag (character-count) filters yield a
+  **provably complete** candidate set for any distance cap.  The bag
+  filter keeps far probes, whose caps make the count bound vacuous,
+  from passing half the column to the kernel.
 * :mod:`repro.index.kernel` — :func:`edit_distance_many`, a batched
   capped edit-distance DP over a padded candidate matrix, vectorized
   across candidates.

@@ -43,6 +43,7 @@ threshold.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -60,6 +61,18 @@ from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:
     from repro.index.parallel import JoinStats, JoinWorkerPool
+
+
+class _PhaseClock(threading.local):
+    """Per-thread running seconds in candidate generation and the kernel.
+
+    Cumulative: ``join_many`` (and each parallel shard) reports the
+    difference across its own work, so joins on other threads of the
+    same joiner never leak into its :class:`JoinStats`.
+    """
+
+    filter_s = 0.0
+    kernel_s = 0.0
 
 
 class IndexedJoiner(EditDistanceJoiner):
@@ -126,6 +139,29 @@ class IndexedJoiner(EditDistanceJoiner):
         self.parallel_threshold = config.parallel_threshold
         self.last_join_stats: JoinStats | None = None
         self._pool: JoinWorkerPool | None = None
+        self._clock = _PhaseClock()
+
+    def _filter(self, generate, *args):
+        """Run a candidate generator of the index, timing it as filter."""
+        started = time.perf_counter()
+        out = generate(*args)
+        self._clock.filter_s += time.perf_counter() - started
+        return out
+
+    def _score_pairs(
+        self,
+        query_codes: np.ndarray,
+        cand_codes: np.ndarray,
+        cand_lengths: np.ndarray,
+        cap: int,
+    ) -> np.ndarray:
+        """The kernel's pair DP, timed as kernel."""
+        started = time.perf_counter()
+        out = self.kernel.edit_distance_pairs(
+            query_codes, cand_codes, cand_lengths, cap
+        )
+        self._clock.kernel_s += time.perf_counter() - started
+        return out
 
     def _index_for(self, targets: Sequence[str]) -> QGramIndex:
         return self.cache.get(targets, q=self.q)
@@ -224,6 +260,8 @@ class IndexedJoiner(EditDistanceJoiner):
         disk_hits = self.cache.disk_hits
         disk_misses = self.cache.disk_misses
         pairs_before = pairs_scored_snapshot()
+        filter_before = self._clock.filter_s
+        kernel_before = self._clock.kernel_s
         # Dedupe: every occurrence of a probe value gets the one result.
         positions: dict[str, list[int]] = {}
         for i, probe in enumerate(probes):
@@ -278,6 +316,8 @@ class IndexedJoiner(EditDistanceJoiner):
                 worker_disk_hits = pool_stats.disk_hits
                 worker_disk_misses = pool_stats.disk_misses
                 worker_pairs = pool_stats.kernel_pairs
+                worker_filter_s = pool_stats.filter_s
+                worker_kernel_s = pool_stats.kernel_s
             else:
                 n_workers = 1
                 shards = 0
@@ -285,9 +325,12 @@ class IndexedJoiner(EditDistanceJoiner):
                 worker_disk_hits = 0
                 worker_disk_misses = 0
                 worker_pairs = ()
+                worker_filter_s = worker_kernel_s = 0.0
                 argmins = {}
                 for length, bucket in buckets.items():
                     argmins.update(self._argmin_bucket(index, length, bucket))
+            filter_s = self._clock.filter_s - filter_before + worker_filter_s
+            kernel_s = self._clock.kernel_s - kernel_before + worker_kernel_s
             tracer.record_span(
                 "join.kernel_sweep",
                 join_span,
@@ -298,6 +341,8 @@ class IndexedJoiner(EditDistanceJoiner):
                     "n_workers": n_workers,
                     "shards": shards,
                     "kernel_backend": self.kernel.name,
+                    "filter_s": filter_s,
+                    "kernel_s": kernel_s,
                 },
             )
         except BaseException as error:
@@ -334,6 +379,8 @@ class IndexedJoiner(EditDistanceJoiner):
                     if count
                 )
             ),
+            filter_s=filter_s,
+            kernel_s=kernel_s,
         )
         join_span.set_attributes(self.last_join_stats.as_dict())
         join_span.finish()
@@ -419,7 +466,7 @@ class IndexedJoiner(EditDistanceJoiner):
                 probe: self._rank_topk(index, cand_lists[j], dist_lists[j], kk)
                 for j, probe in enumerate(probes)
             }
-        neighbour_lists = index.overlap_best(probes, length, k=kk)
+        neighbour_lists = self._filter(index.overlap_best, probes, length, kk)
         # Guarantee >= kk distinct neighbour values per probe so the
         # kk-th smallest exact distance below is well defined.
         nearest = np.sort(
@@ -438,7 +485,7 @@ class IndexedJoiner(EditDistanceJoiner):
         resolved: dict[str, list[tuple[int, int]]] = {}
         for bound, rows in sorted(by_bound.items()):
             group = [probes[j] for j in rows]
-            cand_lists = index.candidates_bucket(group, length, bound)
+            cand_lists = self._filter(index.candidates_bucket, group, length, bound)
             dist_lists = self._scored_lists(
                 index, probe_codes[rows], cand_lists, bound
             )
@@ -654,7 +701,7 @@ class IndexedJoiner(EditDistanceJoiner):
         by_refined: dict[int, list[int]] = {}
         for bound, rows in sorted(by_bound.items()):
             group = [pending[j] for j in rows]
-            cand_lists = index.candidates_bucket(group, length, bound)
+            cand_lists = self._filter(index.candidates_bucket, group, length, bound)
             near_lists = [
                 cands[np.abs(index.lengths[cands] - length) <= self._NEAR_LENGTHS]
                 for cands in cand_lists
@@ -668,7 +715,9 @@ class IndexedJoiner(EditDistanceJoiner):
         for refined, rows in sorted(by_refined.items()):
             group = [pending[j] for j in rows]
             group_codes = probe_codes[rows]
-            cand_lists = index.candidates_bucket(group, length, refined)
+            cand_lists = self._filter(
+                index.candidates_bucket, group, length, refined
+            )
             far_lists = [
                 cands[np.abs(index.lengths[cands] - length) > self._NEAR_LENGTHS]
                 for cands in cand_lists
@@ -716,7 +765,9 @@ class IndexedJoiner(EditDistanceJoiner):
         max_cap = max(length, index.max_length)
         lookahead = min(2, max_cap)
         probe_codes, _ = encode_strings(probes)
-        cand_lists = index.candidates_bucket(probes, length, min(1, max_cap))
+        cand_lists = self._filter(
+            index.candidates_bucket, probes, length, min(1, max_cap)
+        )
         dist_lists = self._scored_lists(index, probe_codes, cand_lists, lookahead)
         survivors: list[int] = []
         for j, probe in enumerate(probes):
@@ -732,7 +783,7 @@ class IndexedJoiner(EditDistanceJoiner):
         if not survivors or max_cap < 2:
             return [probes[j] for j in survivors]
         rem = [probes[j] for j in survivors]
-        wide_lists = index.candidates_bucket(rem, length, 2)
+        wide_lists = self._filter(index.candidates_bucket, rem, length, 2)
         # Newly admitted candidates only: both arrays are ascending, so
         # a searchsorted membership test keeps the set difference O(n).
         fresh_lists: list[np.ndarray] = []
@@ -838,7 +889,7 @@ class IndexedJoiner(EditDistanceJoiner):
         max-gram-overlap targets from :meth:`QGramIndex.overlap_best`;
         the per-probe minimum upper-bounds the probe's best distance.
         """
-        neighbour_lists = index.overlap_best(pending, length)
+        neighbour_lists = self._filter(index.overlap_best, pending, length)
         sizes = np.fromiter(
             (a.size for a in neighbour_lists),
             dtype=np.int64,
@@ -850,7 +901,7 @@ class IndexedJoiner(EditDistanceJoiner):
         # Any target is within max(length, longest target), so the
         # distances come back exact.
         vacuous = max(length, index.max_length)
-        distances = self.kernel.edit_distance_pairs(
+        distances = self._score_pairs(
             probe_codes[probe_rep], cand_codes, cand_lengths, vacuous
         )
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -908,7 +959,7 @@ class IndexedJoiner(EditDistanceJoiner):
             )
             hi = max(lo + 1, min(hi, n))
             cand_codes, cand_lengths = index.batch_codes(vids[lo:hi])
-            out[lo:hi] = self.kernel.edit_distance_pairs(
+            out[lo:hi] = self._score_pairs(
                 probe_codes[probe_rep[lo:hi]], cand_codes, cand_lengths, cap
             )
             lo = hi

@@ -24,17 +24,19 @@ that call surface into a registry of interchangeable backends:
   rows of ``BENCH_kernels.json`` (``benchmarks/bench_kernels.py``; 2-core
   host, CPython 3.11, numpy 2.4):
 
-  - ``edit_distance_pairs`` → ``reference``.  Replaying the 423 pair
-    calls of a wide join (5,000-row title column, ~650 pairs per call
-    at the median, caps 2-67): reference 2.31 s, banded 3.73 s,
-    bitparallel 4.12 s; the same join end to end 2.19 / 3.39 / 3.58 s.
+  - ``edit_distance_pairs`` → ``reference``.  Replaying the 345 pair
+    calls of a wide join (5,000-row title column, ~70 pairs per call
+    at the median and up to ~2,200 behind the bag filter, caps 2-67):
+    reference 0.94 s, banded 1.40 s, bitparallel 1.89 s; the same join
+    end to end 1.02 / 1.49 / 1.88 s.
   - ``edit_distance_codes`` / ``edit_distance_many`` → ``banded`` up
-    to cap 6, ``bitparallel`` above.  On 60 abbreviation probes
-    against 4,000 titles, banded/bitparallel took 0.015/0.045 s at cap
-    1, 0.092/0.094 s at cap 6, 0.183/0.135 s at cap 8 and 2.82/0.67 s
-    at cap 40.  On concatenated titles past one word the band still
-    wins at cap 8 (0.093/0.130 s) and loses from cap 16; one cut-off
-    serves both.
+    to cap 6 for queries of at most 64 characters (one bit-parallel
+    word) and up to cap 8 for longer ones, ``bitparallel`` above.  On
+    60 abbreviation probes against 4,000 titles, banded/bitparallel
+    took 0.015/0.048 s at cap 1, 0.128/0.147 s at cap 6, 0.227/0.181 s
+    at cap 8 and 2.91/0.73 s at cap 40.  On concatenated titles past
+    one word, where bit-parallel pays for a second word, the band still
+    wins at cap 8 (0.100/0.154 s) and loses from cap 16.
 
 Selection: an explicit ``JoinConfig(kernel_backend=...)`` wins; a
 config left at ``"auto"`` defers to the ``REPRO_KERNEL_BACKEND``
@@ -66,8 +68,11 @@ from repro.index.kernel import encode_strings
 from repro.index.kernels import banded as _banded
 from repro.index.kernels import bitparallel as _bitparallel
 
-#: Largest cap at which ``auto`` scores codes with the banded DP.
+#: Largest cap at which ``auto`` scores codes with the banded DP, for
+#: queries that fit one 64-bit word and for longer ones.
 _BANDED_MAX_CAP = 6
+_BANDED_MAX_CAP_MULTIWORD = 8
+_WORD_BITS = 64
 
 _COUNTS_LOCK = threading.Lock()
 _PAIRS_SCORED: dict[str, int] = {
@@ -196,7 +201,8 @@ class AutoBackend(KernelBackend):
       batches in ``BENCH_kernels.json``.
     * ``edit_distance_codes`` / ``edit_distance_many`` (composite keys,
       ``match_many``) run the banded DP while the cap is at most
-      :data:`_BANDED_MAX_CAP` and bit-parallel above it.
+      :data:`_BANDED_MAX_CAP` (:data:`_BANDED_MAX_CAP_MULTIWORD` for
+      queries longer than one 64-bit word) and bit-parallel above it.
 
     Pairs scored are credited to whichever concrete backend ran.
     """
@@ -204,15 +210,20 @@ class AutoBackend(KernelBackend):
     name = "auto"
 
     @staticmethod
-    def _pick_codes(cap: int) -> KernelBackend:
-        if cap <= _BANDED_MAX_CAP:
+    def _pick_codes(cap: int, query_length: int) -> KernelBackend:
+        limit = (
+            _BANDED_MAX_CAP_MULTIWORD
+            if query_length > _WORD_BITS
+            else _BANDED_MAX_CAP
+        )
+        if cap <= limit:
             return _BACKENDS["banded"]
         return _BACKENDS["bitparallel"]
 
     def edit_distance_codes(
         self, query: str, codes: np.ndarray, lengths: np.ndarray, cap: int
     ) -> np.ndarray:
-        return self._pick_codes(cap).edit_distance_codes(
+        return self._pick_codes(cap, len(query)).edit_distance_codes(
             query, codes, lengths, cap
         )
 
@@ -230,7 +241,7 @@ class AutoBackend(KernelBackend):
     def edit_distance_many(
         self, query: str, candidates: Sequence[str], cap: int
     ) -> np.ndarray:
-        return self._pick_codes(cap).edit_distance_many(
+        return self._pick_codes(cap, len(query)).edit_distance_many(
             query, candidates, cap
         )
 

@@ -102,6 +102,14 @@ class JoinStats:
             attributed to whichever call snapshots last — the engines
             serialize joins (the serving layer through its batch
             executor), which keeps the accounting exact.
+        filter_s: Seconds spent generating candidates (the q-gram
+            index's length, count and bag filters, plus the
+            max-overlap neighbour probe) inside the kernel sweep.
+        kernel_s: Seconds spent in kernel pair-DP calls inside the
+            kernel sweep.  Both are summed across shard workers, so
+            under parallelism they can exceed the sweep's wall time;
+            what neither covers (gathers, merges, pool transport) is
+            the sweep's remainder.
     """
 
     probes: int = 0
@@ -119,6 +127,8 @@ class JoinStats:
     disk_misses: int = 0
     kernel_backend: str = "auto"
     kernel_pairs: tuple[tuple[str, int], ...] = ()
+    filter_s: float = 0.0
+    kernel_s: float = 0.0
 
     def as_dict(self) -> dict:
         """JSON-friendly dict form (tuples become lists/mappings)."""
@@ -139,6 +149,9 @@ class PoolStats:
     disk_misses: int
     #: Summed per-shard ``(backend, pairs)`` deltas from the workers.
     kernel_pairs: tuple[tuple[str, int], ...] = ()
+    #: Summed per-shard filter and kernel seconds from the workers.
+    filter_s: float = 0.0
+    kernel_s: float = 0.0
 
 
 # Target shards per worker: a few pieces of slack per process so one
@@ -347,7 +360,8 @@ def _score_shard(
 
     Each payload also carries this shard's per-backend kernel-pairs
     delta (snapshotted around the scoring, so persistent workers never
-    double-report across shards or calls).
+    double-report across shards or calls) and its ``(filter_s,
+    kernel_s)`` seconds.
     """
     from repro.index.kernels import pairs_scored_snapshot
 
@@ -394,6 +408,7 @@ def _score_shard(
         disk_hits,
         disk_misses,
         kernel_pairs,
+        (scorer._clock.filter_s, scorer._clock.kernel_s),
         *payload,
     )
 
@@ -697,6 +712,7 @@ class JoinWorkerPool:
         argmins: dict = {}
         worker_disk: dict[int, tuple[int, int]] = {}
         call_pairs: dict[str, int] = {}
+        filter_s = kernel_s = 0.0
         for future in futures:
             try:
                 result = future.result()
@@ -720,6 +736,7 @@ class JoinWorkerPool:
                     disk_hits,
                     disk_misses,
                     shard_pairs,
+                    shard_seconds,
                     counts,
                     vids,
                     distances,
@@ -740,6 +757,7 @@ class JoinWorkerPool:
                     disk_hits,
                     disk_misses,
                     shard_pairs,
+                    shard_seconds,
                     vids,
                     distances,
                 ) = result
@@ -751,6 +769,8 @@ class JoinWorkerPool:
             worker_disk[pid] = (disk_hits, disk_misses)
             for name, count in shard_pairs:
                 call_pairs[name] = call_pairs.get(name, 0) + count
+            filter_s += shard_seconds[0]
+            kernel_s += shard_seconds[1]
         call_hits, call_misses = self._credit_disk(worker_disk)
         return argmins, PoolStats(
             workers=min(self.n_workers, len(shards)),
@@ -759,6 +779,8 @@ class JoinWorkerPool:
             disk_hits=call_hits,
             disk_misses=call_misses,
             kernel_pairs=tuple(sorted(call_pairs.items())),
+            filter_s=filter_s,
+            kernel_s=kernel_s,
         )
 
     def close(self) -> None:

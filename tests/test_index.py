@@ -16,6 +16,8 @@ represented) and checks:
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,10 +150,90 @@ class TestQGramIndex:
 
     def test_vacuous_bound_returns_all_length_compatible(self):
         index = QGramIndex(["ab", "abcdefgh", "x"], q=2)
-        # len(query)=1 < q: the count filter is vacuous; only the
-        # length filter applies.
+        # len(query)=1 < q: the count filter is vacuous, so the length
+        # filter passes "ab" and "x"; the bag filter then drops "ab"
+        # (no shared character: bound max(1, 2) - 0 = 2 > cap 1).
         ids = index.candidates("z", 1)
-        assert [index.values[i] for i in ids] == ["ab", "x"]
+        assert [index.values[i] for i in ids] == ["x"]
+        # At the vacuous cap nothing is filtered beyond length.
+        ids = index.candidates("z", 8)
+        assert [index.values[i] for i in ids] == ["ab", "abcdefgh", "x"]
+
+    def test_bag_filter_exact_past_the_count_dtype(self):
+        # Short values store counts as uint8; a query holding 256 of one
+        # bin must not wrap around and overstate the bound (ED = 252).
+        index = QGramIndex(["aaaa", "bbbb"], q=2)
+        assert index.bag_counts().dtype == np.uint8
+        ids = index.candidates("a" * 256, 252)
+        assert [index.values[i] for i in ids] == ["aaaa"]
+        # And a long value's counts are stored unclipped.
+        wide = QGramIndex(["a" * 300, "b"], q=2)
+        assert wide.bag_counts()[ord("a") % 64].tolist() == [300, 0]
+
+    def test_bag_counts_match_with_and_without_dense_codes(self, monkeypatch):
+        values = ["ab\U0001f600", "\ud800x", "", "Łaa"]
+        dense = QGramIndex(values, q=2).bag_counts()
+        monkeypatch.setattr(QGramIndex, "_DENSE_BUDGET", 0)
+        monkeypatch.setattr(QGramIndex, "_BAG_CHUNK_CELLS", 3)
+        sparse = QGramIndex(values, q=2)
+        assert sparse._codes is None
+        np.testing.assert_array_equal(sparse.bag_counts(), dense)
+
+    def test_bag_bounds_do_not_depend_on_the_batch(self):
+        # A whole-column batch gathers the query's bin rows; a single
+        # candidate gathers its own column of bins.  Same bounds.
+        rng = random.Random(5)
+        index = QGramIndex(
+            [random_unicode_string(rng, max_length=20) for _ in range(300)], q=2
+        )
+        every = np.arange(len(index), dtype=np.int64)
+        for _ in range(10):
+            query = random_unicode_string(rng, max_length=20, min_length=8)
+            bulk = index.bag_bounds(query, every)
+            single = [int(index.bag_bounds(query, every[i : i + 1])[0]) for i in every]
+            assert bulk.tolist() == single
+            for vid, bound in enumerate(single):
+                assert bound <= edit_distance(query, index.values[vid])
+
+    def test_concurrent_first_use_of_the_bag(self):
+        # The histograms are published by one unlocked assignment; every
+        # thread racing through first use must still filter correctly.
+        rng = random.Random(11)
+        targets = [random_unicode_string(rng, max_length=12) for _ in range(400)]
+        queries = [random_unicode_string(rng, max_length=12) for _ in range(16)]
+        expected = [
+            QGramIndex(targets, q=2).candidates(query, 3).tolist()
+            for query in queries
+        ]
+        index = QGramIndex(targets, q=2)
+        results: dict[int, list[int]] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda j=j: results.__setitem__(
+                        j, index.candidates(queries[j], 3).tolist()
+                    )
+                )
+                for j in range(len(queries))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [results[j] for j in range(len(queries))] == expected
+
+    def test_disk_state_leaves_bag_out(self):
+        index = QGramIndex(["alpha", "beta"], q=2)
+        index.candidates("alpah", 2)
+        state = index.to_state()
+        assert not any("bag" in key for key in state)
+        restored = QGramIndex.from_state(state)
+        np.testing.assert_array_equal(restored.bag_counts(), index.bag_counts())
 
     def test_duplicates_collapse_to_one_value(self):
         index = QGramIndex(["dup", "other", "dup", "dup"], q=2)

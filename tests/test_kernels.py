@@ -327,6 +327,24 @@ class TestPairsAccounting:
             )
             assert credited[backend] == 3 and sum(credited.values()) == 3, cap
 
+    def test_auto_codes_keep_the_band_to_cap_8_past_one_word(self):
+        auto = get_backend("auto")
+        long_query = "abcdefghij" * 7
+        long_cands = [long_query[:-1] + "x"] * 3
+        for query, cands, cap, backend in (
+            (long_query, long_cands, 7, "banded"),
+            (long_query, long_cands, 8, "banded"),
+            (long_query, long_cands, 9, "bitparallel"),
+            ("abcdef", ["abcdxf"] * 3, 8, "bitparallel"),
+        ):
+            credited = self._credited(
+                lambda q=query, c=cands, cap=cap: auto.edit_distance_many(q, c, cap)
+            )
+            assert credited[backend] == 3 and sum(credited.values()) == 3, (
+                len(query),
+                cap,
+            )
+
     def test_snapshot_is_cumulative_and_resettable(self):
         before = pairs_scored_snapshot()
         get_backend("banded").edit_distance_many("abcdef", ["abcdxf"] * 7, 2)

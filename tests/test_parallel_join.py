@@ -254,13 +254,15 @@ class TestPersistentPool:
         assert excinfo.value.shard_id == 7
         column = tuple(f"value-{i:03d}" for i in range(60))
         fingerprint = column_fingerprint(column, adaptive_q(column))
-        shard_id, _, _, _, kernel_pairs, vids, distances = (
+        shard_id, _, _, _, kernel_pairs, seconds, vids, distances = (
             parallel_module._score_shard(
                 1, 9, ["value-0070"], fingerprint, column, None
             )
         )
         assert shard_id == 1 and distances.tolist() == [1]
         assert sum(dict(kernel_pairs).values()) >= 1
+        filter_s, kernel_s = seconds
+        assert filter_s > 0 and kernel_s > 0
         # Fingerprint-only now resolves through the memo, no column.
         shard_id, *_ = parallel_module._score_shard(
             2, 9, ["value-0080"], fingerprint, None, None
@@ -366,6 +368,30 @@ class TestJoinStatsThreading:
         as_dict = stats.as_dict()
         assert as_dict["probes"] == 5
         assert isinstance(as_dict["shard_sizes"], list)
+
+    def test_phase_seconds_cover_pending_probes_only(self):
+        joiner = IndexedJoiner(cache=IndexCache())
+        targets = [f"value-{i:04d}" for i in range(300)]
+        joiner.join_many(["value-0001", "value-0002"], targets)
+        exact = joiner.last_join_stats
+        assert exact.pending == 0
+        assert exact.filter_s == 0.0 and exact.kernel_s == 0.0
+        joiner.join_many(["valeu-0007", "value-0011x"], targets)
+        scored = joiner.last_join_stats
+        assert scored.filter_s > 0 and scored.kernel_s > 0
+        assert scored.as_dict()["filter_s"] == scored.filter_s
+
+    def test_parallel_stats_sum_worker_phase_seconds(self):
+        targets = [f"value-{i:04d}" for i in range(300)]
+        probes = [f"valeu-{i:04d}" for i in range(60)]
+        joiner = IndexedJoiner(JoinConfig(n_workers=2), cache=IndexCache())
+        try:
+            joiner.join_many(probes, targets)
+        finally:
+            joiner.close()
+        stats = joiner.last_join_stats
+        assert stats.shards >= 1
+        assert stats.filter_s > 0 and stats.kernel_s > 0
 
     def test_parallel_stats_count_workers_and_disk(self, tmp_path, monkeypatch):
         rng = random.Random(_SEED + 4)

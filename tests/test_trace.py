@@ -210,6 +210,26 @@ class TestBruteJoinSpan:
         assert tracer.collector.snapshot()["collected"] == 0
 
 
+class TestKernelSweepSpan:
+    def test_sweep_span_splits_filter_and_kernel_seconds(self):
+        from repro.index import IndexCache, IndexedJoiner
+
+        tracer = configure_tracing(sample_rate=1.0, capacity=16, slowest=4)
+        targets = [f"value-{i:04d}" for i in range(300)]
+        joiner = IndexedJoiner(cache=IndexCache())
+        root = tracer.start_trace("request")
+        with tracer.activate(root):
+            joiner.join_many(["valeu-0007", "value-0011x"], targets)
+        root.finish()
+        spans = tracer.collector.snapshot()["recent"][0]["spans"]
+        (sweep,) = [s for s in spans if s["name"] == "join.kernel_sweep"]
+        stats = joiner.last_join_stats
+        assert sweep["attributes"]["filter_s"] == stats.filter_s > 0
+        assert sweep["attributes"]["kernel_s"] == stats.kernel_s > 0
+        # Both phases nest inside the sweep (1 ms of clock slack).
+        assert stats.filter_s + stats.kernel_s <= sweep["duration_s"] + 1e-3
+
+
 class TestContextPropagation:
     def test_activate_installs_and_restores(self):
         tracer = _tracer(1.0)
